@@ -21,6 +21,17 @@ pub fn full_mask(n: u32) -> LaneMask {
     }
 }
 
+/// The lanes set in `mask`, in ascending lane order.
+pub fn lanes_of(mut mask: LaneMask) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros();
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// The per-warp transactional stack state.
 ///
 /// Life cycle per transactional region:

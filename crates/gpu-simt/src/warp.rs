@@ -9,7 +9,7 @@
 use crate::backoff::Backoff;
 use crate::log::TxLogs;
 use crate::program::{BoxedProgram, Op, OpResult};
-use crate::stack::TxStack;
+use crate::stack::{full_mask, lanes_of, LaneMask, TxStack};
 use sim_core::Cycle;
 
 /// The execution status of one thread slot.
@@ -30,8 +30,9 @@ pub enum ThreadStatus {
 /// One thread slot of a warp.
 pub struct ThreadSlot {
     program: BoxedProgram,
-    /// Current status.
-    pub status: ThreadStatus,
+    /// Current status; written only through [`Warp::set_lane_status`], which
+    /// keeps the warp's lane-status masks in step.
+    status: ThreadStatus,
     /// Result to feed the program on its next fetch.
     pub pending_result: OpResult,
     /// An op that was fetched but could not issue yet (kept until issued).
@@ -69,6 +70,11 @@ impl ThreadSlot {
             commits: 0,
             aborts: 0,
         }
+    }
+
+    /// Current status.
+    pub fn status(&self) -> ThreadStatus {
+        self.status
     }
 
     /// Fetches the thread's next op, consuming the pending result. If an op
@@ -111,9 +117,23 @@ pub enum WarpStatus {
 }
 
 /// A warp: lockstep threads plus transactional state.
+///
+/// Besides the thread slots, a warp keeps two lane-status summaries, the
+/// masks of lanes that are [`ThreadStatus::Ready`] and
+/// [`ThreadStatus::Finished`]. Every status write goes through
+/// [`Warp::set_lane_status`], so readiness and completion are single mask
+/// tests instead of scans over the slots, and the engine walks only the
+/// ready lanes, in ascending lane order.
 pub struct Warp {
-    /// Thread slots (index = lane).
+    /// Thread slots (index = lane). A slot's status is set only through
+    /// [`Warp::set_lane_status`].
     pub threads: Vec<ThreadSlot>,
+    /// Lanes whose status is `Ready`.
+    ready: LaneMask,
+    /// Lanes whose status is `Finished`.
+    finished: LaneMask,
+    /// Every lane of the warp.
+    full: LaneMask,
     /// The transactional SIMT stack.
     pub tx_stack: TxStack,
     /// GETM logical timestamp for this warp's transactions.
@@ -156,8 +176,12 @@ impl Warp {
             !programs.is_empty() && programs.len() <= 64,
             "a warp has 1..=64 lanes"
         );
+        let full = full_mask(programs.len() as u32);
         Warp {
             threads: programs.into_iter().map(ThreadSlot::new).collect(),
+            ready: full,
+            finished: 0,
+            full,
             tx_stack: TxStack::new(),
             warpts: 0,
             backoff: Backoff::paper_default(),
@@ -174,16 +198,43 @@ impl Warp {
         self.threads.len()
     }
 
-    /// Whether every thread has finished.
-    pub fn all_finished(&self) -> bool {
+    /// Sets lane `lane`'s status, keeping the lane-status masks in step.
+    pub fn set_lane_status(&mut self, lane: u32, status: ThreadStatus) {
+        self.threads[lane as usize].status = status;
+        let bit = 1u64 << lane;
+        self.ready &= !bit;
+        self.finished &= !bit;
+        match status {
+            ThreadStatus::Ready => self.ready |= bit,
+            ThreadStatus::Finished => self.finished |= bit,
+            _ => {}
+        }
+    }
+
+    /// The mask of lanes whose status is `status`, by scanning the slots.
+    fn scan_mask(&self, status: ThreadStatus) -> LaneMask {
         self.threads
             .iter()
-            .all(|t| t.status == ThreadStatus::Finished)
+            .enumerate()
+            .filter(|(_, t)| t.status == status)
+            .fold(0, |m, (l, _)| m | 1 << l)
+    }
+
+    /// The mask of lanes in [`ThreadStatus::Ready`].
+    fn ready_mask(&self) -> LaneMask {
+        debug_assert_eq!(self.ready, self.scan_mask(ThreadStatus::Ready));
+        self.ready
+    }
+
+    /// Whether every thread has finished.
+    pub fn all_finished(&self) -> bool {
+        debug_assert_eq!(self.finished, self.scan_mask(ThreadStatus::Finished));
+        self.finished == self.full
     }
 
     /// Whether any thread is in [`ThreadStatus::Ready`].
     pub fn any_ready(&self) -> bool {
-        self.threads.iter().any(|t| t.status == ThreadStatus::Ready)
+        self.ready_mask() != 0
     }
 
     /// The warp status at cycle `now`.
@@ -217,14 +268,9 @@ impl Warp {
         (now < self.sleep_until).then_some(self.sleep_until)
     }
 
-    /// Lanes that are currently `Ready`.
-    pub fn ready_lanes(&self) -> Vec<u32> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == ThreadStatus::Ready)
-            .map(|(i, _)| i as u32)
-            .collect()
+    /// Lanes that are currently `Ready`, in ascending order.
+    pub fn ready_lanes(&self) -> impl Iterator<Item = u32> {
+        lanes_of(self.ready_mask())
     }
 
     /// Total commits across lanes.
@@ -243,6 +289,7 @@ mod tests {
     use super::*;
     use crate::program::ScriptProgram;
     use gpu_mem::Addr;
+    use proptest::prelude::*;
 
     fn warp_of(scripts: Vec<Vec<Op>>) -> Warp {
         Warp::new(
@@ -275,7 +322,9 @@ mod tests {
         w.outstanding = 1;
         assert_eq!(w.status(Cycle(10)), WarpStatus::Ready);
         w.outstanding = 0;
-        w.threads[0].status = ThreadStatus::Finished;
+        w.set_lane_status(0, ThreadStatus::Blocked);
+        assert_eq!(w.status(Cycle(10)), WarpStatus::Stalled);
+        w.set_lane_status(0, ThreadStatus::Finished);
         assert_eq!(w.status(Cycle(10)), WarpStatus::Finished);
         assert!(w.all_finished());
     }
@@ -283,8 +332,43 @@ mod tests {
     #[test]
     fn ready_lanes_lists_indices() {
         let mut w = warp_of(vec![vec![Op::Done], vec![Op::Done], vec![Op::Done]]);
-        w.threads[1].status = ThreadStatus::Blocked;
-        assert_eq!(w.ready_lanes(), vec![0, 2]);
+        w.set_lane_status(1, ThreadStatus::Blocked);
+        assert_eq!(w.ready_lanes().collect::<Vec<_>>(), vec![0, 2]);
+        w.set_lane_status(1, ThreadStatus::Ready);
+        w.set_lane_status(0, ThreadStatus::Finished);
+        assert_eq!(w.ready_lanes().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    const STATUSES: [ThreadStatus; 5] = [
+        ThreadStatus::Ready,
+        ThreadStatus::Blocked,
+        ThreadStatus::AtCommit,
+        ThreadStatus::Aborted,
+        ThreadStatus::Finished,
+    ];
+
+    proptest! {
+        /// The lane-status masks agree with a scan of the slots after any
+        /// sequence of writes, including at the full 64-lane width where a
+        /// shift by the width would overflow.
+        #[test]
+        fn status_masks_match_lane_scan(
+            width_pick in 0usize..3,
+            writes in proptest::collection::vec((0u32..64, 0usize..5), 0..200),
+        ) {
+            let width = [1usize, 32, 64][width_pick];
+            let mut w = warp_of(vec![vec![Op::Done]; width]);
+            for (lane, s) in writes {
+                w.set_lane_status(lane % width as u32, STATUSES[s]);
+                let ready: Vec<u32> = (0..width as u32)
+                    .filter(|&l| w.threads[l as usize].status() == ThreadStatus::Ready)
+                    .collect();
+                let finished = w.threads.iter().all(|t| t.status() == ThreadStatus::Finished);
+                prop_assert_eq!(w.any_ready(), !ready.is_empty());
+                prop_assert_eq!(w.all_finished(), finished);
+                prop_assert_eq!(w.ready_lanes().collect::<Vec<_>>(), ready);
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use fglock::AtomicOp;
 use getm::{AccessKind as GetmKind, AccessRequest, CommitEntry, ReplyKind};
 use gpu_mem::{Addr, Granule};
 use gpu_simt::program::OpKind as K;
+use gpu_simt::stack::{lanes_of, LaneMask};
 use gpu_simt::{Op, OpResult, ThreadStatus};
 use sim_core::history::NO_TXN;
 use sim_core::trace::{AbortCause, SimEvent, Stamp};
@@ -58,11 +59,8 @@ impl CoreCtx<'_> {
             // divergent memory latencies, so early arrivals must wait for
             // the open region to drain before opening the next one.
             let region_open = slot.warp.tx_stack.is_open();
-            let leader = slot.warp.threads.iter_mut().find_map(|t| {
-                if t.status != ThreadStatus::Ready {
-                    return None;
-                }
-                let op = t.fetch_op();
+            let leader = slot.warp.ready_lanes().find_map(|l| {
+                let op = slot.warp.threads[l as usize].fetch_op();
                 if region_open && op == Op::TxBegin {
                     return None;
                 }
@@ -87,12 +85,7 @@ impl CoreCtx<'_> {
             *ready_slot = true;
         }
 
-        let mut sched = std::mem::replace(
-            &mut self.cores[c].sched,
-            gpu_simt::GtoScheduler::new(nwarps),
-        );
-        let pick = sched.pick(|w| ready[w]);
-        self.cores[c].sched = sched;
+        let pick = self.cores[c].sched.pick(|w| ready[w]);
         *self.ready_buf = ready;
         if let Some(w) = pick {
             self.issue_warp(c, w)?;
@@ -133,13 +126,9 @@ impl CoreCtx<'_> {
             // lane that actually can go.
             let region_open = slot.warp.tx_stack.is_open();
             slot.warp
-                .threads
-                .iter_mut()
-                .find_map(|t| {
-                    if t.status != ThreadStatus::Ready {
-                        return None;
-                    }
-                    let op = t.fetch_op();
+                .ready_lanes()
+                .find_map(|l| {
+                    let op = slot.warp.threads[l as usize].fetch_op();
                     if region_open && op == Op::TxBegin {
                         return None;
                     }
@@ -148,23 +137,21 @@ impl CoreCtx<'_> {
                 .expect("ready warp has an issuable lane")
         };
         // Group: every ready lane whose next op has the same kind.
-        let group: Vec<u32> = {
+        let group: LaneMask = {
             let slot = self.cores[c].warps[w].as_mut().expect("scheduled warp");
-            (0..slot.warp.threads.len() as u32)
-                .filter(|&l| {
-                    let t = &mut slot.warp.threads[l as usize];
-                    t.status == ThreadStatus::Ready && t.fetch_op().kind() == kind
-                })
-                .collect()
+            slot.warp
+                .ready_lanes()
+                .filter(|&l| slot.warp.threads[l as usize].fetch_op().kind() == kind)
+                .fold(0, |mask, l| mask | 1 << l)
         };
         match kind {
-            K::Compute => self.issue_compute(c, w, &group),
-            K::TxBegin => self.issue_tx_begin(c, w, &group),
-            K::TxLoad => self.issue_tx_access(c, w, &group, false)?,
-            K::TxStore => self.issue_tx_access(c, w, &group, true)?,
+            K::Compute => self.issue_compute(c, w, group),
+            K::TxBegin => self.issue_tx_begin(c, w, group),
+            K::TxLoad => self.issue_tx_access(c, w, group, false)?,
+            K::TxStore => self.issue_tx_access(c, w, group, true)?,
             K::TxCommit => {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                for &l in &group {
+                for l in lanes_of(group) {
                     // A lane with store verdicts still in flight cannot be
                     // *guaranteed* to commit yet; it keeps its TxCommit
                     // staged and re-tries when the verdicts drain.
@@ -172,18 +159,18 @@ impl CoreCtx<'_> {
                         continue;
                     }
                     slot.warp.tx_stack.lane_at_commit(l);
-                    slot.warp.threads[l as usize].status = ThreadStatus::AtCommit;
+                    slot.warp.set_lane_status(l, ThreadStatus::AtCommit);
                     slot.warp.threads[l as usize].consume_op();
                 }
                 self.maybe_warp_commit(c, w);
             }
-            K::Load => self.issue_plain_load(c, w, &group)?,
-            K::Store => self.issue_plain_store(c, w, &group)?,
-            K::Atomic => self.issue_atomic(c, w, &group)?,
+            K::Load => self.issue_plain_load(c, w, group)?,
+            K::Store => self.issue_plain_store(c, w, group)?,
+            K::Atomic => self.issue_atomic(c, w, group)?,
             K::Done => {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                for &l in &group {
-                    slot.warp.threads[l as usize].status = ThreadStatus::Finished;
+                for l in lanes_of(group) {
+                    slot.warp.set_lane_status(l, ThreadStatus::Finished);
                     slot.warp.threads[l as usize].consume_op();
                 }
             }
@@ -191,10 +178,10 @@ impl CoreCtx<'_> {
         Ok(())
     }
 
-    fn issue_compute(&mut self, c: usize, w: usize, group: &[u32]) {
+    fn issue_compute(&mut self, c: usize, w: usize, group: LaneMask) {
         let slot = self.cores[c].warps[w].as_mut().expect("warp");
         let mut cycles = 1u32;
-        for &l in group {
+        for l in lanes_of(group) {
             if let Some(Op::Compute(n)) = slot.warp.threads[l as usize].staged_op {
                 cycles = cycles.max(n);
             }
@@ -203,7 +190,7 @@ impl CoreCtx<'_> {
         slot.warp.sleep_until = self.now + cycles as u64;
     }
 
-    fn issue_tx_begin(&mut self, c: usize, w: usize, group: &[u32]) {
+    fn issue_tx_begin(&mut self, c: usize, w: usize, group: LaneMask) {
         let now = self.now;
         let gwid = {
             let core = &mut self.cores[c];
@@ -216,12 +203,8 @@ impl CoreCtx<'_> {
                 core.tx_tokens += 1;
                 slot.warp.holds_tx_token = true;
             }
-            let mut mask = 0u64;
-            for &l in group {
-                mask |= 1 << l;
-            }
-            slot.warp.tx_stack.begin(mask);
-            for &l in group {
+            slot.warp.tx_stack.begin(group);
+            for l in lanes_of(group) {
                 let t = &mut slot.warp.threads[l as usize];
                 t.consume_op();
                 t.in_tx = true;
@@ -245,7 +228,7 @@ impl CoreCtx<'_> {
         &mut self,
         c: usize,
         w: usize,
-        group: &[u32],
+        group: LaneMask,
         is_store: bool,
     ) -> Result<(), SimError> {
         let geom = self.geom;
@@ -257,7 +240,7 @@ impl CoreCtx<'_> {
         let mut lanes_aborted = false;
         let gwid = {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in group {
+            for l in lanes_of(group) {
                 let (addr, value) = match slot.warp.threads[l as usize].staged_op {
                     Some(Op::TxLoad(a)) => (a, 0),
                     Some(Op::TxStore(a, v)) => (a, v),
@@ -279,30 +262,30 @@ impl CoreCtx<'_> {
                 let conflict = slot.warp.threads.iter().enumerate().any(|(ol, t)| {
                     ol as u32 != l
                         && t.in_tx
-                        && t.status != ThreadStatus::Aborted
+                        && t.status() != ThreadStatus::Aborted
                         && (t.logs.wrote_granule(g) || (is_store && t.logs.read_granule(g, &geom)))
                 });
-                let t = &mut slot.warp.threads[l as usize];
-                t.consume_op();
+                slot.warp.threads[l as usize].consume_op();
                 if conflict {
                     slot.warp.tx_stack.abort_lane(l);
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
+                    slot.warp.set_lane_status(l, ThreadStatus::Aborted);
+                    slot.warp.threads[l as usize].aborts += 1;
                     lanes_aborted = true;
                     self.hist.abort(slot.gwid.0, l, self.now.raw());
                     continue;
                 }
+                let logs = &mut slot.warp.threads[l as usize].logs;
                 if is_store {
-                    t.logs.record_write(addr, value, &geom);
+                    logs.record_write(addr, value, &geom);
                 } else {
-                    t.logs.record_read(addr, 0);
+                    logs.record_read(addr, 0);
                 }
                 survivors.push((l, addr, value));
             }
             slot.gwid.0
         };
         if lanes_aborted {
-            let n = group.len() as u64 - survivors.len() as u64;
+            let n = group.count_ones() as u64 - survivors.len() as u64;
             self.stats.aborts += n;
             self.stats.aborts_intra_warp += n;
             let now = self.now.raw();
@@ -395,7 +378,7 @@ impl CoreCtx<'_> {
                         // commit point still waits for every verdict.
                         slot.pending_stores[l as usize] += 1;
                     } else {
-                        slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
+                        slot.warp.set_lane_status(l, ThreadStatus::Blocked);
                     }
                 }
                 slot.warp.outstanding += 1;
@@ -456,7 +439,7 @@ impl CoreCtx<'_> {
             {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
                 for &(l, _) in &lanes {
-                    slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
+                    slot.warp.set_lane_status(l, ThreadStatus::Blocked);
                 }
                 slot.warp.outstanding += 1;
             }
@@ -480,13 +463,13 @@ impl CoreCtx<'_> {
         *self.group_buf = by_granule;
     }
 
-    fn issue_plain_load(&mut self, c: usize, w: usize, group: &[u32]) -> Result<(), SimError> {
+    fn issue_plain_load(&mut self, c: usize, w: usize, group: LaneMask) -> Result<(), SimError> {
         let geom = self.geom;
         let use_l1 = self.system.is_tm();
         let mut by_granule = std::mem::take(self.group_buf);
         {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in group {
+            for l in lanes_of(group) {
                 let Some(Op::Load(a)) = slot.warp.threads[l as usize].staged_op else {
                     return Err(SimError::ProtocolViolation {
                         what: "staged op is not a plain load at issue",
@@ -553,7 +536,7 @@ impl CoreCtx<'_> {
             {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
                 for &(l, _) in &lanes {
-                    slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
+                    slot.warp.set_lane_status(l, ThreadStatus::Blocked);
                 }
                 slot.warp.outstanding += 1;
             }
@@ -581,13 +564,13 @@ impl CoreCtx<'_> {
     /// Plain stores apply to the memory image immediately (GPU stores are
     /// fire-and-forget through a store buffer); the message only charges
     /// crossbar and LLC bandwidth.
-    fn issue_plain_store(&mut self, c: usize, w: usize, group: &[u32]) -> Result<(), SimError> {
+    fn issue_plain_store(&mut self, c: usize, w: usize, group: LaneMask) -> Result<(), SimError> {
         let geom = self.geom;
         let now = self.now;
         let mut sends: Vec<(usize, Addr, u64, u32)> = Vec::new();
         let gwid = {
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
-            for &l in group {
+            for l in lanes_of(group) {
                 let Some(Op::Store(a, v)) = slot.warp.threads[l as usize].staged_op else {
                     return Err(SimError::ProtocolViolation {
                         what: "staged op is not a plain store at issue",
@@ -619,14 +602,14 @@ impl CoreCtx<'_> {
         Ok(())
     }
 
-    fn issue_atomic(&mut self, c: usize, w: usize, group: &[u32]) -> Result<(), SimError> {
+    fn issue_atomic(&mut self, c: usize, w: usize, group: LaneMask) -> Result<(), SimError> {
         let geom = self.geom;
-        for &l in group {
+        for l in lanes_of(group) {
             let op = {
                 let slot = self.cores[c].warps[w].as_mut().expect("warp");
                 let staged = slot.warp.threads[l as usize].staged_op;
                 slot.warp.threads[l as usize].consume_op();
-                slot.warp.threads[l as usize].status = ThreadStatus::Blocked;
+                slot.warp.set_lane_status(l, ThreadStatus::Blocked);
                 slot.warp.outstanding += 1;
                 match staged {
                     Some(Op::AtomicCas { addr, expect, new }) => {
@@ -752,7 +735,7 @@ impl CoreCtx<'_> {
                 if !is_store {
                     for (i, &(l, a)) in lanes.iter().enumerate() {
                         let t = &mut slot.warp.threads[l as usize];
-                        if t.status != ThreadStatus::Blocked {
+                        if t.status() != ThreadStatus::Blocked {
                             // The lane aborted (another access's verdict or
                             // an intra-warp conflict) while this load was
                             // in flight; drop the value.
@@ -763,7 +746,7 @@ impl CoreCtx<'_> {
                         let v = fwd.or_else(|| values.get(i).copied()).unwrap_or(0);
                         t.logs.update_read_value(a, v);
                         t.pending_result = OpResult::Value(v);
-                        t.status = ThreadStatus::Ready;
+                        slot.warp.set_lane_status(l, ThreadStatus::Ready);
                         // Forwarded reads never touched shared memory; only
                         // LLC-served values constrain serializability.
                         // `versions` is non-empty exactly when the partition
@@ -790,13 +773,12 @@ impl CoreCtx<'_> {
                         slot.warp.threads[li].logs.remove_last_write(a, &geom);
                     }
                     // The lane may already have aborted for another reason.
-                    if slot.warp.threads[li].status == ThreadStatus::Aborted {
+                    if slot.warp.threads[li].status() == ThreadStatus::Aborted {
                         continue;
                     }
                     slot.warp.tx_stack.abort_lane(l);
-                    let t = &mut slot.warp.threads[li];
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
+                    slot.warp.set_lane_status(l, ThreadStatus::Aborted);
+                    slot.warp.threads[li].aborts += 1;
                     self.stats.aborts += 1;
                     aborted += 1;
                     if wd_alert {
@@ -876,9 +858,8 @@ impl CoreCtx<'_> {
                     // flight: abort instead of delivering.
                     slot.doomed[li] = false;
                     slot.warp.tx_stack.abort_lane(l);
-                    let t = &mut slot.warp.threads[li];
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
+                    slot.warp.set_lane_status(l, ThreadStatus::Aborted);
+                    slot.warp.threads[li].aborts += 1;
                     self.stats.aborts += 1;
                     doomed_aborts += 1;
                     self.hist.abort(slot.gwid.0, l, self.now.raw());
@@ -902,9 +883,8 @@ impl CoreCtx<'_> {
                         }
                     }
                 }
-                let t = &mut slot.warp.threads[li];
-                t.pending_result = OpResult::Value(v);
-                t.status = ThreadStatus::Ready;
+                slot.warp.threads[li].pending_result = OpResult::Value(v);
+                slot.warp.set_lane_status(l, ThreadStatus::Ready);
                 if el && is_tx {
                     el_lanes.push(l);
                 }
@@ -951,9 +931,8 @@ impl CoreCtx<'_> {
             });
         };
         slot.warp.outstanding -= 1;
-        let t = &mut slot.warp.threads[lane as usize];
-        t.pending_result = OpResult::Value(old);
-        t.status = ThreadStatus::Ready;
+        slot.warp.threads[lane as usize].pending_result = OpResult::Value(old);
+        slot.warp.set_lane_status(lane, ThreadStatus::Ready);
         // Lanes drift through non-transactional ops, so this atomic can be
         // the last in-flight access holding up a sibling region's commit.
         self.maybe_warp_commit(core, warp);
@@ -974,7 +953,7 @@ impl CoreCtx<'_> {
             let slot = self.cores[c].warps[w].as_mut().expect("warp alive");
             for &l in lanes {
                 let t = &slot.warp.threads[l as usize];
-                if t.status == ThreadStatus::Aborted || !t.in_tx {
+                if t.status() == ThreadStatus::Aborted || !t.in_tx {
                     continue;
                 }
                 let valid = t
@@ -984,9 +963,8 @@ impl CoreCtx<'_> {
                     .all(|e| e.forwarded || mem.get(e.addr.0) == e.value);
                 if !valid {
                     slot.warp.tx_stack.abort_lane(l);
-                    let t = &mut slot.warp.threads[l as usize];
-                    t.status = ThreadStatus::Aborted;
-                    t.aborts += 1;
+                    slot.warp.set_lane_status(l, ThreadStatus::Aborted);
+                    slot.warp.threads[l as usize].aborts += 1;
                     self.stats.aborts += 1;
                     aborted += 1;
                     self.hist.abort(slot.gwid.0, l, self.now.raw());
@@ -1027,16 +1005,16 @@ impl CoreCtx<'_> {
                 }
                 for l in 0..slot.warp.threads.len() {
                     let t = &slot.warp.threads[l];
-                    if !t.in_tx || !matches!(t.status, ThreadStatus::Ready | ThreadStatus::Blocked)
+                    if !t.in_tx
+                        || !matches!(t.status(), ThreadStatus::Ready | ThreadStatus::Blocked)
                     {
                         continue;
                     }
                     if core.eapg.on_broadcast(&t.logs, writes) == EapgDecision::EarlyAbort {
-                        if t.status == ThreadStatus::Ready {
+                        if t.status() == ThreadStatus::Ready {
                             slot.warp.tx_stack.abort_lane(l as u32);
-                            let t = &mut slot.warp.threads[l];
-                            t.status = ThreadStatus::Aborted;
-                            t.aborts += 1;
+                            slot.warp.set_lane_status(l as u32, ThreadStatus::Aborted);
+                            slot.warp.threads[l].aborts += 1;
                             self.stats.aborts += 1;
                             aborted += 1;
                             self.hist.abort(slot.gwid.0, l as u32, now);
@@ -1378,9 +1356,8 @@ impl CoreCtx<'_> {
                 let mut aborted = 0u32;
                 for l in 0..slot.warp.threads.len() {
                     if failed_mask & (1 << l) != 0 {
-                        let t = &mut slot.warp.threads[l];
-                        t.status = ThreadStatus::Aborted;
-                        t.aborts += 1;
+                        slot.warp.set_lane_status(l as u32, ThreadStatus::Aborted);
+                        slot.warp.threads[l].aborts += 1;
                         self.stats.aborts += 1;
                         aborted += 1;
                         self.hist.abort(gwid, l as u32, self.now.raw());
@@ -1545,9 +1522,8 @@ impl CoreCtx<'_> {
             slot.warp.tx_stack.fail_commit_lanes(mask);
             let gwid = slot.gwid.0;
             for &l in &failing {
-                let t = &mut slot.warp.threads[l as usize];
-                t.status = ThreadStatus::Aborted;
-                t.aborts += 1;
+                slot.warp.set_lane_status(l, ThreadStatus::Aborted);
+                slot.warp.threads[l as usize].aborts += 1;
                 self.stats.aborts += 1;
                 self.hist.abort(gwid, l, now.raw());
             }
@@ -1709,8 +1685,8 @@ impl CoreCtx<'_> {
                 if restart & (1 << l) != 0 {
                     let t = &mut slot.warp.threads[l];
                     t.rollback();
-                    t.status = ThreadStatus::Ready;
                     t.in_tx = true;
+                    slot.warp.set_lane_status(l as u32, ThreadStatus::Ready);
                     slot.doomed[l] = false;
                     slot.tcd_clean[l] = true;
                     slot.tx_begin[l] = now;
@@ -1734,10 +1710,11 @@ impl CoreCtx<'_> {
                 self.rollover_pending = true;
             }
             slot.warp.backoff.reset();
-            for t in slot.warp.threads.iter_mut() {
-                if t.status == ThreadStatus::AtCommit {
-                    t.status = ThreadStatus::Ready;
+            for l in 0..slot.warp.threads.len() {
+                if slot.warp.threads[l].status() == ThreadStatus::AtCommit {
+                    slot.warp.set_lane_status(l as u32, ThreadStatus::Ready);
                 }
+                let t = &mut slot.warp.threads[l];
                 if t.in_tx {
                     t.in_tx = false;
                     t.logs.clear();

@@ -41,6 +41,7 @@ use sim_core::history::HistoryRecorder;
 use sim_core::trace::{Recorder, SimEvent, Stamp, WatchdogStage};
 use sim_core::{CancelToken, Cycle, DetRng, LivelockReport, SimError, TokenSlab};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use warptm::{EapgFilter, TcdTable, ValidationJob, WarptmValidator};
 use watchdog::{WatchdogState, WdMode};
 use workloads::{SyncMode, Workload};
@@ -131,8 +132,8 @@ pub(crate) enum DownMsg {
     Verdict { token: u64, failed_lanes: u64 },
     /// WarpTM commit acknowledgement.
     CommitAck { token: u64 },
-    /// EAPG write-set broadcast.
-    Broadcast { writes: Vec<Granule> },
+    /// EAPG write-set broadcast, one shared write set for every core.
+    Broadcast { writes: Arc<[Granule]> },
 }
 
 /// What a pending token is waiting for.
@@ -1012,7 +1013,7 @@ impl Engine {
                     .warp
                     .threads
                     .iter()
-                    .map(|t| format!("{:?}/{:?}", t.status, t.staged_op))
+                    .map(|t| format!("{:?}/{:?}", t.status(), t.staged_op))
                     .collect();
                 let _ = writeln!(
                     s,
@@ -1061,11 +1062,11 @@ impl Engine {
                     } else {
                         self.stats.tx_exec_cycles += span;
                     }
-                } else if slot.warp.any_ready() && !slot.warp.all_finished() {
-                    // Throttled at TxBegin?
-                    let wants_tx = slot.warp.threads.iter().any(|t| {
-                        t.status == gpu_simt::ThreadStatus::Ready
-                            && t.staged_op == Some(gpu_simt::Op::TxBegin)
+                } else {
+                    // Throttled at TxBegin? (A ready lane means the warp is
+                    // also unfinished.)
+                    let wants_tx = slot.warp.ready_lanes().any(|l| {
+                        slot.warp.threads[l as usize].staged_op == Some(gpu_simt::Op::TxBegin)
                     });
                     if wants_tx {
                         if let Some(limit) = self.cfg.tx_concurrency {

@@ -17,6 +17,7 @@ use fglock::AtomicOp;
 use gpu_mem::{AccessKind, Addr, CacheResult, Granule, LineAddr};
 use sim_core::trace::{SimEvent, Stamp};
 use sim_core::{Cycle, SimError};
+use std::sync::Arc;
 
 /// Cycles an LLC sub-bank's tag+data pipeline is held per access under
 /// the HBM tier (Khairy et al. model banked L2 slices with a small fixed
@@ -543,13 +544,14 @@ impl PartCtx<'_> {
         // EAPG: broadcast the committed write set to every core.
         if self.system == crate::config::TmSystem::Eapg && !granules.is_empty() {
             self.stats.eapg_broadcasts += self.n_cores as u64;
+            let writes: Arc<[Granule]> = granules.into();
             for c in 0..self.n_cores {
                 self.send_down(
                     done,
                     c,
                     8,
                     DownMsg::Broadcast {
-                        writes: granules.clone(),
+                        writes: Arc::clone(&writes),
                     },
                     "eapg-broadcast",
                 );
