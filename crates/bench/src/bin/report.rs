@@ -14,8 +14,7 @@
 //!   entry in OLD must exist in NEW and parse to identical deterministic
 //!   metrics, with **zero tolerance**: the simulator is deterministic, so
 //!   any drift in a simulated quantity is a real behavior change, not
-//!   noise. Host-profile attribution lines are excluded (wall-clock is
-//!   observational). Entries only in NEW are informational; OLD entries
+//!   noise. Entries only in NEW are informational; OLD entries
 //!   in a stale cache format are skipped with a note (they cannot be
 //!   compared, but are not evidence of regression).
 //! * **Two files** — `enginebench` snapshot compare
@@ -125,14 +124,12 @@ fn compare_snapshots(old_json: &str, new_json: &str, out: &mut String) -> bool {
     ok
 }
 
-/// The deterministic `key=value` lines of a serialized metrics entry:
-/// everything except the format header and the host-profile attribution
-/// (host wall-clock is observational, never a regression).
+/// The `key=value` lines of a serialized metrics entry (everything but
+/// the format header).
 fn deterministic_lines(m: &Metrics) -> BTreeMap<String, String> {
     serialize_metrics(m)
         .lines()
         .filter_map(|l| l.split_once('='))
-        .filter(|(k, _)| !k.starts_with("host_profile/"))
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect()
 }
@@ -291,37 +288,6 @@ mod tests {
         assert!(out.contains("DRIFTED"), "{out}");
         assert!(out.contains("commits: 64 -> 65"), "{out}");
 
-        std::fs::remove_dir_all(&old_dir).ok();
-        std::fs::remove_dir_all(&new_dir).ok();
-    }
-
-    #[test]
-    fn cache_host_profile_drift_is_not_a_regression() {
-        use gputm::{HostProfile, ShardProfile};
-        let old_dir = temp_dir("prof-old");
-        let new_dir = temp_dir("prof-new");
-        let m = Metrics {
-            cycles: 7,
-            check: Some(Ok(())),
-            ..Metrics::default()
-        };
-        let profiled = Metrics {
-            host_profile: HostProfile {
-                shards: vec![ShardProfile {
-                    work_ns: 9,
-                    barrier_ns: 9,
-                    merge_ns: 9,
-                }],
-                windows: 3,
-            },
-            ..m.clone()
-        };
-        // OLD unprofiled, NEW profiled: wall-clock attribution differs,
-        // deterministic metrics do not.
-        ResultCache::new(&old_dir).store("bbbb", &m).unwrap();
-        ResultCache::new(&new_dir).store("bbbb", &profiled).unwrap();
-        let mut out = String::new();
-        assert_eq!(compare_caches(&old_dir, &new_dir, &mut out), Ok(true));
         std::fs::remove_dir_all(&old_dir).ok();
         std::fs::remove_dir_all(&new_dir).ok();
     }

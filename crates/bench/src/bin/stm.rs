@@ -13,8 +13,7 @@
 //! With no positionals the first-wave suite programs (HT-H, ATM) run;
 //! positionals filter by benchmark or fuzz-shape name and `--fuzz` adds
 //! the adversarial fuzz shapes. `--tiny` substitutes small instances (what
-//! CI's stm-smoke uses). `--threads` sets the TL2 worker count (and the
-//! simulator's shard count — observationally transparent there).
+//! CI's stm-smoke uses). `--threads` sets the TL2 worker count.
 //! `--system` picks the simulated system(s) to compare against (default
 //! GETM) and `--gpu volta` swaps the simulated machine for the
 //! Volta-class memory tier (sectored L1, hashed banked LLC, HBM timing). Exit status is nonzero if any row fails certification or its

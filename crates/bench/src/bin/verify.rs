@@ -47,7 +47,6 @@ impl Subject {
         system: TmSystem,
         scale: workloads::suite::Scale,
         tiny: bool,
-        exec: ExecMode,
     ) -> Result<VerifiedRun, SimError> {
         let base = if tiny {
             GpuConfig::tiny_test()
@@ -57,16 +56,14 @@ impl Subject {
         match self {
             Subject::Bench(b) => {
                 let cfg = base.with_concurrency(bench::optimal_concurrency(system, *b));
-                CellSpec::new(*b, scale, system, cfg)
-                    .with_exec(exec)
-                    .run_verified()
+                CellSpec::new(*b, scale, system, cfg).run_verified()
             }
             Subject::Fuzz(shape, seed) => {
                 let threads = if tiny { 24 } else { 96 };
                 let w = Fuzz::new(*shape, threads, 3, *seed);
                 let out = Sim::new(&base)
                     .system(system)
-                    .run_with(&w, &RunOptions::default().verify(true).exec(exec))?;
+                    .run_with(&w, &RunOptions::default().verify(true))?;
                 Ok(VerifiedRun {
                     metrics: out.metrics,
                     verdict: out.verdict.expect("verified runs always carry a verdict"),
@@ -132,17 +129,12 @@ fn main() -> ExitCode {
         subjects.extend(FuzzShape::ALL.into_iter().map(|s| Subject::Fuzz(s, seed)));
     }
 
-    // Verified runs record history and therefore execute serially
-    // whatever the mode, but the flag must plumb through cleanly (and
-    // stay observational) like everywhere else.
-    let exec = ExecMode::from_threads(args.cell_threads);
-
     let mut failures = 0usize;
     let mut exported = false;
     for subject in &subjects {
         for &system in &systems {
             let run = subject
-                .run(system, args.scale, tiny, exec)
+                .run(system, args.scale, tiny)
                 .unwrap_or_else(|e| panic!("{} under {system}: {e}", subject.label()));
             let status = if run.verdict.ok() { "ok  " } else { "FAIL" };
             println!(

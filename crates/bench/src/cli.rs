@@ -7,10 +7,6 @@
 //! --paper-scale      use the paper's full benchmark sizes (default: fast)
 //! --jobs N | -j N    worker threads for the sweep (default: all cores)
 //! --serial           shorthand for --jobs 1
-//! --threads N        shard each simulation across N host threads
-//!                    (deterministic: metrics are bit-identical to
-//!                    serial; default 1). Useful for a handful of big
-//!                    cells; --jobs parallelism is better for grids.
 //! --no-cache         don't read or write the on-disk result cache
 //! --cache-dir PATH   result-cache location (default: $GETM_SWEEP_CACHE
 //!                    or target/sweep-cache)
@@ -47,8 +43,6 @@ pub struct Args {
     pub scale: Scale,
     /// Sweep worker threads (0 = one per core).
     pub jobs: usize,
-    /// Intra-cell shard threads (1 = serial engine loop).
-    pub cell_threads: usize,
     /// Whether the on-disk result cache is enabled.
     pub cache: bool,
     /// Cache location override (`None` = default resolution).
@@ -80,7 +74,6 @@ impl Default for Args {
         Args {
             scale: Scale::Fast,
             jobs: 0,
-            cell_threads: 1,
             cache: true,
             cache_dir: None,
             progress: true,
@@ -137,14 +130,6 @@ impl Args {
                 "--jobs" | "-j" => {
                     let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
                     out.jobs = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("{arg} needs a positive integer, got {v:?}"))?;
-                }
-                "--threads" => {
-                    let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                    out.cell_threads = v
                         .parse::<usize>()
                         .ok()
                         .filter(|&n| n > 0)
@@ -221,9 +206,6 @@ impl Args {
             .failure_policy(self.failures)
             .resume(self.resume)
             .telemetry(self.telemetry().unwrap_or_else(|e| panic!("{e}")));
-        if self.cell_threads > 1 {
-            opts = opts.cell_exec(gputm::ExecMode::from_threads(self.cell_threads));
-        }
         if let Some(limit) = self.cell_timeout {
             opts = opts.cell_timeout(limit);
         }
@@ -261,8 +243,6 @@ common flags (all figure binaries):
   --paper-scale      use the paper's full benchmark sizes (default: fast)
   --jobs N | -j N    worker threads for the sweep (default: all cores)
   --serial           shorthand for --jobs 1
-  --threads N        shard each simulation across N host threads
-                     (deterministic; bit-identical to serial)
   --no-cache         don't read or write the on-disk result cache
   --cache-dir PATH   result-cache location (default: $GETM_SWEEP_CACHE
                      or target/sweep-cache)
@@ -327,17 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_shards_every_cell() {
-        let a = parse(&["--threads", "4"]).unwrap();
-        assert_eq!(a.cell_threads, 4);
-        assert_eq!(
-            a.sweep_options().cell_exec,
-            Some(gputm::ExecMode::Sharded { threads: 4 })
-        );
-        // One thread is the serial engine: no override at all.
-        let one = parse(&["--threads", "1"]).unwrap();
-        assert_eq!(one.sweep_options().cell_exec, None);
-        assert!(parse(&["--threads", "0"]).unwrap_err().contains("positive"));
+    fn threads_flag_is_rejected_as_unknown() {
+        // Intra-cell sharding is gone; cell-level parallelism is --jobs.
+        for args in [&["--threads", "4"][..], &["--threads"][..]] {
+            let err = parse(args).unwrap_err();
+            assert_eq!(err, "unknown flag \"--threads\"", "{args:?}");
+        }
     }
 
     #[test]

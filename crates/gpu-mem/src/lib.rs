@@ -2,7 +2,9 @@
 //!
 //! The GPU memory-hierarchy substrate: byte/line/granule address geometry,
 //! a bandwidth- and latency-modelled crossbar, set-associative cache tag
-//! arrays (L1D and LLC banks), and a DRAM channel timing model.
+//! arrays (L1D and LLC banks), a DRAM channel timing model, and the
+//! page-granular committed memory image ([`MemImage`]), one for the whole
+//! machine whatever its partition count.
 //!
 //! Nothing here knows about transactional memory; the TM protocol crates
 //! drive these components through plain state-machine interfaces, and the
@@ -13,14 +15,12 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod bank;
 pub mod cache;
 pub mod dram;
 pub mod image;
 pub mod xbar;
 
 pub use addr::{partition_imbalance, Addr, Geometry, Granule, Interleave, LineAddr};
-pub use bank::{BankSlice, BankedMem};
 pub use cache::{AccessKind, CacheConfig, CacheResult, SetAssocCache};
 pub use dram::{DramChannel, DramConfig};
 pub use image::MemImage;

@@ -2,11 +2,10 @@
 //! access handling per TM system, reply processing, and the per-protocol
 //! warp commit sequences.
 //!
-//! Everything here runs on a [`CoreCtx`] — a (possibly whole-machine) core
-//! window with effect sinks — so the same code serves both the serial loop
-//! and each shard of a parallel issue phase.
+//! Everything here runs on a [`CoreCtx`], the engine's core-side split
+//! borrow.
 
-use super::ctx::{CoreCtx, FxOp, FxSink, TokenPatch};
+use super::ctx::CoreCtx;
 use super::{CommitCtx, DownMsg, Pending, UpMsg};
 use crate::config::TmSystem;
 use fglock::AtomicOp;
@@ -68,7 +67,7 @@ impl CoreCtx<'_> {
             });
             let Some(op) = leader else { continue };
             if op == Op::TxBegin {
-                if self.rollover_pending {
+                if *self.rollover_pending {
                     continue; // hold new transactions during rollover
                 }
                 if serialized && priority != Some(slot.gwid.0 as u64) {
@@ -104,7 +103,7 @@ impl CoreCtx<'_> {
             let slot = self.cores[c].warps[w].take().expect("checked above");
             self.cores[c].retired_commits += slot.warp.total_commits();
             self.cores[c].retired_aborts += slot.warp.total_aborts();
-            self.retired += 1;
+            *self.live_warps -= 1;
             if let Some(progs) = self.cores[c].pending_warps.pop_front() {
                 let new_slot = super::make_slot(
                     progs,
@@ -383,7 +382,7 @@ impl CoreCtx<'_> {
                 }
                 slot.warp.outstanding += 1;
             }
-            let token = self.insert_pending(Pending::Access {
+            let token = self.pending.insert(Pending::Access {
                 core: c,
                 warp: w,
                 lanes,
@@ -392,7 +391,8 @@ impl CoreCtx<'_> {
                 issued: now,
                 versions: Vec::new(),
             });
-            self.send_up(
+            self.up.send(
+                self.now,
                 part,
                 getm::msg::ACCESS_REQUEST_BYTES,
                 UpMsg::GetmAccess(AccessRequest {
@@ -408,7 +408,6 @@ impl CoreCtx<'_> {
                     token,
                 }),
                 "tm-access",
-                TokenPatch::Pending,
             );
         }
         *self.group_buf = by_granule;
@@ -443,7 +442,7 @@ impl CoreCtx<'_> {
                 }
                 slot.warp.outstanding += 1;
             }
-            let token = self.insert_pending(Pending::Access {
+            let token = self.pending.insert(Pending::Access {
                 core: c,
                 warp: w,
                 lanes,
@@ -452,12 +451,12 @@ impl CoreCtx<'_> {
                 issued: now,
                 versions: Vec::new(),
             });
-            self.send_up(
+            self.up.send(
+                self.now,
                 part,
                 16,
                 UpMsg::TxLoadWtm { addr, token },
                 "tm-access",
-                TokenPatch::Pending,
             );
         }
         *self.group_buf = by_granule;
@@ -504,31 +503,16 @@ impl CoreCtx<'_> {
                     .access_at(line, sector, gpu_mem::AccessKind::Read)
                     .is_hit()
             {
-                // L1 hit: values available next cycle. The fill reads the
-                // committed image; a deferred sink replays it at the cycle
-                // barrier in core order, which reproduces serial ordering
-                // against same-cycle stores from lower-numbered cores.
-                {
-                    let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                    slot.warp.sleep_until = slot.warp.sleep_until.max(now + 1);
+                // L1 hit: values (read from the committed image now)
+                // available next cycle.
+                let slot = self.cores[c].warps[w].as_mut().expect("warp");
+                slot.warp.sleep_until = slot.warp.sleep_until.max(now + 1);
+                for &(l, a) in &lanes {
+                    let t = &mut slot.warp.threads[l as usize];
+                    t.pending_result = OpResult::Value(self.mem.get(a.0));
                 }
-                match &mut self.sink {
-                    FxSink::Direct { mem, .. } => {
-                        let slot = self.cores[c].warps[w].as_mut().expect("warp");
-                        for &(l, a) in &lanes {
-                            let v = mem.get(a.0);
-                            let t = &mut slot.warp.threads[l as usize];
-                            t.pending_result = OpResult::Value(v);
-                        }
-                        lanes.clear();
-                        self.lane_pool.push(lanes);
-                    }
-                    FxSink::Deferred { ops } => ops.push(FxOp::Fill {
-                        core: c,
-                        warp: w,
-                        lanes,
-                    }),
-                }
+                lanes.clear();
+                self.lane_pool.push(lanes);
                 continue;
             }
             let part = geom.partition_of_granule(g) as usize;
@@ -540,7 +524,7 @@ impl CoreCtx<'_> {
                 }
                 slot.warp.outstanding += 1;
             }
-            let token = self.insert_pending(Pending::Access {
+            let token = self.pending.insert(Pending::Access {
                 core: c,
                 warp: w,
                 lanes,
@@ -549,13 +533,8 @@ impl CoreCtx<'_> {
                 issued: now,
                 versions: Vec::new(),
             });
-            self.send_up(
-                part,
-                16,
-                UpMsg::PlainLoad { addr, token },
-                "load",
-                TokenPatch::Pending,
-            );
+            self.up
+                .send(self.now, part, 16, UpMsg::PlainLoad { addr, token }, "load");
         }
         *self.group_buf = by_granule;
         Ok(())
@@ -586,17 +565,17 @@ impl CoreCtx<'_> {
             slot.gwid.0
         };
         for (part, a, v, l) in sends {
-            self.store_word(a.0, v);
+            self.mem.set(a.0, v);
             self.hist.singleton_write(c, gwid, l, a.0, v, now.raw());
             if self.system.is_tm() {
                 self.cores[c].l1.invalidate(geom.line_of(a));
             }
-            self.send_up(
+            self.up.send(
+                self.now,
                 part,
                 16,
                 UpMsg::PlainStore { addr: a, value: v },
                 "store",
-                TokenPatch::None,
             );
         }
         Ok(())
@@ -625,19 +604,14 @@ impl CoreCtx<'_> {
                     }
                 }
             };
-            let token = self.insert_pending(Pending::AtomicOp {
+            let token = self.pending.insert(Pending::AtomicOp {
                 core: c,
                 warp: w,
                 lane: l,
             });
             let part = geom.partition_of(op.addr()) as usize;
-            self.send_up(
-                part,
-                16,
-                UpMsg::Atomic { op, token },
-                "atomic",
-                TokenPatch::Pending,
-            );
+            self.up
+                .send(self.now, part, 16, UpMsg::Atomic { op, token }, "atomic");
         }
         Ok(())
     }
@@ -683,7 +657,7 @@ impl CoreCtx<'_> {
             if self.cfg.sabotage == crate::config::Sabotage::GetmIgnoreLoadAborts
                 && matches!(reply.kind, ReplyKind::Abort { .. })
                 && matches!(
-                    self.pending_direct().get(reply.token),
+                    self.pending.get(reply.token),
                     Some(Pending::Access {
                         is_store: false,
                         ..
@@ -702,7 +676,7 @@ impl CoreCtx<'_> {
             issued,
             versions,
             ..
-        }) = self.pending_direct().remove(reply.token)
+        }) = self.pending.remove(reply.token)
         else {
             return Err(SimError::ProtocolViolation {
                 what: "GETM access reply routed to unknown token",
@@ -828,7 +802,7 @@ impl CoreCtx<'_> {
             issued,
             versions,
             ..
-        }) = self.pending_direct().remove(token)
+        }) = self.pending.remove(token)
         else {
             return Err(SimError::ProtocolViolation {
                 what: "load reply routed to unknown token",
@@ -915,8 +889,7 @@ impl CoreCtx<'_> {
     }
 
     fn on_atomic_reply(&mut self, token: u64, old: u64) -> Result<(), SimError> {
-        let Some(Pending::AtomicOp { core, warp, lane }) = self.pending_direct().remove(token)
-        else {
+        let Some(Pending::AtomicOp { core, warp, lane }) = self.pending.remove(token) else {
             return Err(SimError::ProtocolViolation {
                 what: "atomic reply routed to unknown token",
                 token,
@@ -944,12 +917,7 @@ impl CoreCtx<'_> {
     fn el_validate_lanes(&mut self, c: usize, w: usize, lanes: &[u32]) {
         let mut aborted = 0u32;
         let gwid = {
-            // EL validation reads committed memory mid-issue; EL runs are
-            // always serial (see `Engine::can_shard`), so the sink is
-            // direct by construction.
-            let FxSink::Direct { mem, .. } = &self.sink else {
-                unreachable!("WarpTM-EL runs serial with a direct sink")
-            };
+            let mem = &*self.mem;
             let slot = self.cores[c].warps[w].as_mut().expect("warp alive");
             for &l in lanes {
                 let t = &slot.warp.threads[l as usize];
@@ -1166,13 +1134,8 @@ impl CoreCtx<'_> {
             }
             let bytes = CommitEntry::batch_bytes(&entries);
             let ids = std::mem::take(&mut per_part_ids[p]);
-            self.send_up(
-                p,
-                bytes,
-                UpMsg::GetmLog(entries, ids),
-                "commit",
-                TokenPatch::None,
-            );
+            self.up
+                .send(self.now, p, bytes, UpMsg::GetmLog(entries, ids), "commit");
         }
         for ids in per_part_ids {
             if ids.capacity() > 0 && ids.is_empty() {
@@ -1312,12 +1275,12 @@ impl CoreCtx<'_> {
             let mut job = std::mem::take(&mut jobs[p]);
             job.token = token;
             let bytes = job.entries() as u64 * gpu_simt::log::LOG_ENTRY_BYTES;
-            self.send_up(
+            self.up.send(
+                self.now,
                 p,
                 bytes.max(8),
                 UpMsg::Validate(job),
                 "validation",
-                TokenPatch::Commit,
             );
         }
     }
@@ -1332,9 +1295,7 @@ impl CoreCtx<'_> {
         };
         let mut failed_mask = 0u64;
         {
-            let FxSink::Direct { mem, .. } = &self.sink else {
-                unreachable!("WarpTM-EL runs serial with a direct sink")
-            };
+            let mem = &*self.mem;
             let slot = self.cores[c].warps[w].as_mut().expect("warp");
             for l in 0..slot.warp.threads.len() {
                 if commit_mask & (1 << l) == 0 {
@@ -1419,7 +1380,7 @@ impl CoreCtx<'_> {
         *self.word_buf = word_buf;
         for writes in &per_part {
             for &(a, v) in writes {
-                self.store_word(a.0, v);
+                self.mem.set(a.0, v);
             }
         }
         {
@@ -1463,19 +1424,19 @@ impl CoreCtx<'_> {
         for p in involved {
             let writes = std::mem::take(&mut per_part[p]);
             let bytes = (writes.len() as u64 * gpu_simt::log::LOG_ENTRY_BYTES).max(8);
-            self.send_up(
+            self.up.send(
+                self.now,
                 p,
                 bytes,
                 UpMsg::ElWriteLog { token, writes },
                 "commit",
-                TokenPatch::Commit,
             );
         }
     }
 
     fn on_verdict(&mut self, token: u64, failed_lanes: u64) -> Result<(), SimError> {
         let (core, warp, lanes, failed, parts) = {
-            let Some(ctx) = self.commits_direct().get_mut(token) else {
+            let Some(ctx) = self.commits_in_flight.get_mut(token) else {
                 return Err(SimError::ProtocolViolation {
                     what: "validation verdict for unknown commit",
                     token,
@@ -1543,7 +1504,8 @@ impl CoreCtx<'_> {
             // Whole warp transaction failed: abort at every partition and
             // restart without waiting for acknowledgements.
             for &p in &parts {
-                self.send_up(
+                self.up.send(
+                    self.now,
                     p,
                     8,
                     UpMsg::CommitCmd {
@@ -1552,10 +1514,9 @@ impl CoreCtx<'_> {
                         failed_lanes: failed,
                     },
                     "commit",
-                    TokenPatch::None,
                 );
             }
-            self.commits_direct().remove(token);
+            self.commits_in_flight.remove(token);
             let Some(slot) = self.cores[core].warps[warp].as_mut() else {
                 return Err(SimError::ProtocolViolation {
                     what: "failed commit verdict for a retired warp",
@@ -1567,7 +1528,8 @@ impl CoreCtx<'_> {
             self.finish_round(core, warp, false);
         } else {
             for &p in &parts {
-                self.send_up(
+                self.up.send(
+                    self.now,
                     p,
                     8,
                     UpMsg::CommitCmd {
@@ -1576,10 +1538,9 @@ impl CoreCtx<'_> {
                         failed_lanes: failed,
                     },
                     "commit",
-                    TokenPatch::None,
                 );
             }
-            let Some(ctx) = self.commits_direct().get_mut(token) else {
+            let Some(ctx) = self.commits_in_flight.get_mut(token) else {
                 return Err(SimError::ProtocolViolation {
                     what: "commit context vanished while issuing commit commands",
                     token,
@@ -1594,7 +1555,7 @@ impl CoreCtx<'_> {
 
     fn on_commit_ack(&mut self, token: u64) -> Result<(), SimError> {
         let done = {
-            let Some(ctx) = self.commits_direct().get_mut(token) else {
+            let Some(ctx) = self.commits_in_flight.get_mut(token) else {
                 return Err(SimError::ProtocolViolation {
                     what: "commit acknowledgement for unknown commit",
                     token,
@@ -1607,7 +1568,7 @@ impl CoreCtx<'_> {
         if !done {
             return Ok(());
         }
-        let Some(ctx) = self.commits_direct().remove(token) else {
+        let Some(ctx) = self.commits_in_flight.remove(token) else {
             return Err(SimError::ProtocolViolation {
                 what: "commit context vanished between acknowledgements",
                 token,
@@ -1635,6 +1596,14 @@ impl CoreCtx<'_> {
 
     /// Closes one commit round: restart aborted lanes (with backoff and —
     /// for GETM — a `warpts` advance) or close the region entirely.
+    /// Registers an in-flight commit attempt and marks the warp committing,
+    /// returning the attempt's token.
+    fn insert_commit(&mut self, c: usize, w: usize, ctx: CommitCtx) -> u64 {
+        let token = self.commits_in_flight.insert(ctx);
+        self.cores[c].warps[w].as_mut().expect("warp").committing = Some(token);
+        token
+    }
+
     fn finish_round(&mut self, c: usize, w: usize, committed: bool) {
         let now = self.now;
         let is_getm = self.system == TmSystem::Getm;
@@ -1657,10 +1626,9 @@ impl CoreCtx<'_> {
                 let cause = slot.warp.abort_cause_ts;
                 let skip = 1 + (slot.gwid.0 as u64 & 7);
                 slot.warp.warpts = slot.warp.warpts.max(cause + skip);
-                self.ts_high_water = self.ts_high_water.max(slot.warp.warpts);
                 slot.warp.abort_cause_ts = 0;
                 if slot.warp.warpts >= self.cfg.ts_limit {
-                    self.rollover_pending = true;
+                    *self.rollover_pending = true;
                 }
             }
             slot.warp.backoff.note_abort();
@@ -1704,10 +1672,9 @@ impl CoreCtx<'_> {
             }
             if is_getm && committed {
                 slot.warp.warpts = slot.warp.warpts.max(slot.obs_max_ts) + 1;
-                self.ts_high_water = self.ts_high_water.max(slot.warp.warpts);
             }
             if is_getm && slot.warp.warpts >= self.cfg.ts_limit {
-                self.rollover_pending = true;
+                *self.rollover_pending = true;
             }
             slot.warp.backoff.reset();
             for l in 0..slot.warp.threads.len() {

@@ -22,20 +22,14 @@
 mod core_side;
 mod ctx;
 mod partition_side;
-mod pool;
-mod profiler;
-mod sharded;
 mod watchdog;
 
 use crate::config::{GpuConfig, TmSystem};
-use crate::exec::ExecMode;
 use crate::metrics::Metrics;
 use fglock::{AtomicOp, AtomicUnit};
 use getm::vu::GetmConfig;
 use getm::{AccessRequest, CommitEntry, CommitUnit, ValidationUnit};
-use gpu_mem::{
-    Addr, BankedMem, Crossbar, Delivery, Geometry, Granule, LineAddr, MemImage, SetAssocCache,
-};
+use gpu_mem::{Addr, Crossbar, Delivery, Geometry, Granule, LineAddr, MemImage, SetAssocCache};
 use gpu_simt::{Backoff, GtoScheduler, Warp};
 use sim_core::history::HistoryRecorder;
 use sim_core::trace::{Recorder, SimEvent, Stamp, WatchdogStage};
@@ -265,40 +259,14 @@ pub(crate) struct EngineStats {
     pub aborts_validation: u64,
 }
 
-impl EngineStats {
-    /// Folds another stats block into this one. Every constituent is a
-    /// sum, a max, or a mean over exactly-representable integer samples,
-    /// so merging per-shard blocks in any order yields the same result as
-    /// serial accumulation — the property sharded execution's bit-identical
-    /// metrics rest on.
-    pub(crate) fn merge(&mut self, other: &EngineStats) {
-        self.commits += other.commits;
-        self.aborts += other.aborts;
-        self.access_rt.merge(&other.access_rt);
-        self.vu_queue_delay.merge(&other.vu_queue_delay);
-        self.data_latency.merge(&other.data_latency);
-        self.rounds_per_region.merge(&other.rounds_per_region);
-        self.silent_commits += other.silent_commits;
-        self.tx_exec_cycles += other.tx_exec_cycles;
-        self.tx_wait_cycles += other.tx_wait_cycles;
-        self.max_stall_total = self.max_stall_total.max(other.max_stall_total);
-        self.eapg_broadcasts += other.eapg_broadcasts;
-        self.rollovers += other.rollovers;
-        self.meta_latency.merge(&other.meta_latency);
-        self.aborts_intra_warp += other.aborts_intra_warp;
-        self.aborts_validation += other.aborts_validation;
-    }
-}
-
 /// The engine itself.
 pub struct Engine {
     pub(crate) cfg: GpuConfig,
     pub(crate) system: TmSystem,
     pub(crate) geom: Geometry,
     pub(crate) now: Cycle,
-    /// Committed memory image, keyed by word address and banked by
-    /// partition so sharded execution can split it across threads.
-    pub(crate) mem: BankedMem,
+    /// Committed memory image, keyed by word address.
+    pub(crate) mem: MemImage,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) parts: Vec<Partition>,
     pub(crate) up: Crossbar<UpMsg>,
@@ -321,15 +289,6 @@ pub struct Engine {
     pub(crate) wd: WatchdogState,
     /// Cooperative cancellation flag, polled every few thousand cycles.
     pub(crate) cancel: Option<CancelToken>,
-    /// Host-thread execution mode (serial by default). Changing it never
-    /// changes results — the sharded loop is bit-identical to serial.
-    pub(crate) exec: ExecMode,
-    /// Highest warp timestamp written since the last rollover, maintained
-    /// by `finish_round`. The sharded loop uses it to prove a cycle cannot
-    /// reach `ts_limit` before running issue in parallel (rollover arming
-    /// must be observed by all later cores within the same cycle, which
-    /// only the serial path reproduces).
-    pub(crate) ts_high_water: u64,
     /// When set (the default), cycles in which provably nothing can happen
     /// — every warp asleep or unissuable, both crossbars quiet — are elided
     /// by jumping the clock to the next scheduled event. Purely a simulator
@@ -337,11 +296,6 @@ pub struct Engine {
     /// test suite pins this). The `legacy-loop` cargo feature flips the
     /// default for pre-change comparison runs.
     pub(crate) idle_skip: bool,
-    /// When set, sharded runs attribute host wall-time per shard (work vs.
-    /// barrier-wait vs. merge) into `Metrics::host_profile`. Off by
-    /// default: the off path costs one branch per parallel phase, and the
-    /// attribution never affects simulated results.
-    pub(crate) host_profiling: bool,
     // --- reusable scratch, hoisted out of the per-cycle hot loop ---
     /// Drain buffer for up-crossbar deliveries.
     pub(crate) up_buf: Vec<Delivery<UpMsg>>,
@@ -368,9 +322,6 @@ pub struct Engine {
     pub(crate) word_buf: Vec<(u64, u64)>,
     /// Validation-job line dedup scratch (`wtm_validate`).
     pub(crate) line_buf: Vec<LineAddr>,
-    /// Abort-address notes buffered by execution contexts, drained into
-    /// the watchdog's hot-address tally at phase barriers.
-    pub(crate) wd_addr_buf: Vec<u64>,
 }
 
 impl Engine {
@@ -389,10 +340,8 @@ impl Engine {
             .with_interleave(cfg.interleave);
         let root_rng = DetRng::seeded(cfg.seed);
 
-        let mem = BankedMem::from_pairs(
-            geom,
-            workload.initial_memory().into_iter().map(|(a, v)| (a.0, v)),
-        );
+        let mem =
+            MemImage::from_pairs(workload.initial_memory().into_iter().map(|(a, v)| (a.0, v)));
 
         // Partition the grid into warps, round-robin across cores.
         let mode = if system.is_tm() {
@@ -479,10 +428,7 @@ impl Engine {
             rollover_pending: false,
             wd: WatchdogState::new(&cfg.watchdog, system.is_tm()),
             cancel: None,
-            exec: ExecMode::Serial,
-            ts_high_water: cfg.cores as u64 * cfg.warps_per_core as u64,
             idle_skip: !cfg!(feature = "legacy-loop"),
-            host_profiling: false,
             up_buf: Vec::new(),
             down_buf: Vec::new(),
             ready_buf: Vec::new(),
@@ -494,17 +440,7 @@ impl Engine {
             attempt_pool: Vec::new(),
             word_buf: Vec::new(),
             line_buf: Vec::new(),
-            wd_addr_buf: Vec::new(),
         })
-    }
-
-    /// Selects the host-thread execution mode. Results are bit-identical
-    /// across modes; sharding is a wall-clock optimization only. Modes
-    /// that require serial observation order (event tracing, history
-    /// recording, WarpTM-EL's partition-order-sensitive value commits)
-    /// fall back to the serial loop automatically.
-    pub fn set_exec(&mut self, exec: ExecMode) {
-        self.exec = exec;
     }
 
     /// Enables or disables idle skip-ahead (on by default unless the
@@ -512,14 +448,6 @@ impl Engine {
     /// the engine benchmark can run both paths in one binary.
     pub fn set_idle_skip(&mut self, on: bool) {
         self.idle_skip = on;
-    }
-
-    /// Enables host-side wall-time profiling of sharded runs (see
-    /// [`crate::metrics::HostProfile`]). Purely observational: simulated
-    /// results are bit-identical with it on or off, and serial runs
-    /// ignore it (there are no barriers to attribute).
-    pub fn set_host_profiling(&mut self, on: bool) {
-        self.host_profiling = on;
     }
 
     /// Number of in-flight request contexts the engine is tracking
@@ -564,11 +492,10 @@ impl Engine {
         std::mem::take(&mut self.hist)
     }
 
-    /// The committed memory image, flattened from the partition banks
-    /// (for the verifier's sequential-oracle comparison). This walks and
-    /// copies every nonzero word — end-of-run use only, not a hot path.
+    /// A copy of the committed memory image (for the verifier's
+    /// sequential-oracle comparison) — end-of-run use only, not a hot path.
     pub fn memory_image(&self) -> MemImage {
-        self.mem.merged()
+        self.mem.clone()
     }
 
     /// Runs the simulation to completion and returns the metrics.
@@ -583,25 +510,6 @@ impl Engine {
     /// routed to any outstanding request (an engine/protocol-model bug, not
     /// modelled behaviour).
     pub fn run(&mut self) -> Result<Metrics, SimError> {
-        let threads = self.exec.threads();
-        if threads > 1 && self.can_shard() {
-            return self.run_sharded(threads);
-        }
-        self.run_serial()
-    }
-
-    /// Whether this run is eligible for sharded execution. Event tracing
-    /// and history recording observe effects in serial program order
-    /// (their interleaved streams cannot be reconstructed from buffered
-    /// shard output), and WarpTM-EL commits values from the partition
-    /// side; all three keep the serial loop — which is bit-identical
-    /// anyway, so the fallback is invisible.
-    pub(crate) fn can_shard(&self) -> bool {
-        !self.rec.is_on() && !self.hist.is_on() && self.system != TmSystem::WarpTmEL
-    }
-
-    /// The single-threaded reference loop.
-    fn run_serial(&mut self) -> Result<Metrics, SimError> {
         while !self.drained() {
             let now = self.now.raw();
             if now >= self.cfg.max_cycles {
@@ -884,9 +792,8 @@ impl Engine {
         }
     }
 
-    /// Advances the simulation by one cycle (the serial path: one
-    /// whole-machine context per side, direct effect sinks).
-    pub(crate) fn step(&mut self) -> Result<(), SimError> {
+    /// Advances the simulation by one cycle.
+    fn step(&mut self) -> Result<(), SimError> {
         if self.rollover_pending {
             self.try_complete_rollover();
         }
@@ -908,17 +815,15 @@ impl Engine {
         // 2. Down deliveries -> cores, then 3. issue — both core-side.
         let mut down_buf = std::mem::take(&mut self.down_buf);
         self.down.drain_due(now, &mut down_buf);
-        let out = {
+        {
             let mut ctx = self.core_ctx();
             for d in down_buf.drain(..) {
                 ctx.handle_down(d.dst, d.payload)?;
             }
-            for c in 0..ctx.n_cores() {
+            for c in 0..ctx.cores.len() {
                 ctx.issue_core(c)?;
             }
-            ctx.out()
-        };
-        self.apply_ctx_out(out);
+        }
         self.down_buf = down_buf;
         // 4. Stats sampling.
         self.sample_stats(1);
@@ -961,8 +866,6 @@ impl Engine {
         }
         self.stats.rollovers += 1;
         self.rollover_pending = false;
-        // Post-rollover clocks restart at small per-warp values.
-        self.ts_high_water = 0x3F;
     }
 
     fn drained(&self) -> bool {
@@ -1285,5 +1188,19 @@ mod tests {
             "skip must not fire while warps have ready work"
         );
         assert_eq!(e.now, Cycle::ZERO);
+    }
+
+    /// The committed image is stored once: a multi-partition machine
+    /// materializes exactly the pages the initial memory touches, not a
+    /// copy per partition.
+    #[test]
+    fn committed_image_holds_each_initial_page_once() {
+        let cfg = GpuConfig::fermi_15core();
+        assert!(cfg.partitions > 1);
+        let w = Benchmark::Atm.build(Scale::Fast);
+        let pages: std::collections::BTreeSet<u64> =
+            w.initial_memory().iter().map(|(a, _)| a.0 >> 12).collect();
+        let e = Engine::new(w.as_ref(), TmSystem::Getm, &cfg).expect("engine builds");
+        assert_eq!(e.mem.page_count(), pages.len());
     }
 }

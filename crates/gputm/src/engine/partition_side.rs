@@ -10,7 +10,7 @@
 //! Load values are captured *here*, at partition processing time, so a
 //! reply in flight can never observe logically later writes.
 
-use super::ctx::{DownSend, DownSink, PartCtx};
+use super::ctx::PartCtx;
 use super::{DownMsg, Pending, UpMsg};
 use crate::config::MemModel;
 use fglock::AtomicOp;
@@ -203,43 +203,22 @@ impl PartCtx<'_> {
     /// can attribute the read once the reply is delivered and no path can
     /// leak the capture.
     fn capture_values(&mut self, token: u64) -> Result<(usize, Vec<u64>), SimError> {
-        if self.hist.is_on() {
-            // History recording runs serial, so the pending tap is the
-            // mutable one and the version capture can write into the
-            // context.
-            return match self.pending.get_mut(token) {
-                Some(Pending::Access {
-                    core,
-                    lanes,
-                    is_store,
-                    is_tx,
-                    versions,
-                    ..
-                }) => {
-                    let mut values = self.value_pool.pop().unwrap_or_default();
-                    values.clear();
-                    values.extend(lanes.iter().map(|&(_, a)| self.mem.get(a.0)));
-                    if *is_tx && !*is_store {
-                        versions.clear();
-                        versions.extend(lanes.iter().map(|&(_, a)| self.hist.version_of(a.0)));
-                    }
-                    Ok((*core, values))
-                }
-                Some(Pending::AtomicOp { core, .. }) => Ok((*core, Vec::new())),
-                None => Err(SimError::ProtocolViolation {
-                    what: "memory reply for unknown token",
-                    token,
-                    cycle: self.now.raw(),
-                }),
-            };
-        }
-        // Recording off (every sharded phase, most serial runs): the
-        // pending slab is only read, so a shared tap suffices.
-        match self.pending.get(token) {
-            Some(Pending::Access { core, lanes, .. }) => {
+        match self.pending.get_mut(token) {
+            Some(Pending::Access {
+                core,
+                lanes,
+                is_store,
+                is_tx,
+                versions,
+                ..
+            }) => {
                 let mut values = self.value_pool.pop().unwrap_or_default();
                 values.clear();
                 values.extend(lanes.iter().map(|&(_, a)| self.mem.get(a.0)));
+                if self.hist.is_on() && *is_tx && !*is_store {
+                    versions.clear();
+                    versions.extend(lanes.iter().map(|&(_, a)| self.hist.version_of(a.0)));
+                }
                 Ok((*core, values))
             }
             Some(Pending::AtomicOp { core, .. }) => Ok((*core, Vec::new())),
@@ -284,7 +263,7 @@ impl PartCtx<'_> {
                 };
                 self.stats.data_latency.observe(extra as f64);
                 let (core, values) = self.capture_values(reply.token)?;
-                self.send_down(
+                self.down.send(
                     vu_done + extra,
                     core,
                     getm::msg::ACCESS_REPLY_BYTES,
@@ -399,7 +378,7 @@ impl PartCtx<'_> {
                 let extra = self.data_cycles(p, wk.request.addr, AccessKind::Read);
                 let (core, values) = self.capture_values(wk.reply.token)?;
                 let at = vu_done.max(cu_done) + wk.cycles as u64 + extra;
-                self.send_down(
+                self.down.send(
                     at,
                     core,
                     getm::msg::ACCESS_REPLY_BYTES,
@@ -420,7 +399,7 @@ impl PartCtx<'_> {
         let extra = self.data_cycles(p, addr, AccessKind::Read);
         let done = self.vu_slot(p, 1) + extra;
         let (core, values) = self.capture_values(token)?;
-        self.send_down(
+        self.down.send(
             done,
             core,
             16,
@@ -483,7 +462,7 @@ impl PartCtx<'_> {
         };
         let done = self.vu_slot(p, verdict.cycles as u64) + extra;
         let core = self.commit_core(token)?;
-        self.send_down(
+        self.down.send(
             done,
             core,
             8,
@@ -513,13 +492,10 @@ impl PartCtx<'_> {
         // Committed-write attribution: surviving lane entries carry their
         // lane id, and the in-flight commit context names the warp, so the
         // history can chain each applied word to its transaction attempt.
-        // The core-state lookup only exists while recording (which forces
-        // the serial loop, where the context carries the core slice).
         let gwid = if self.hist.is_on() {
-            let cores = self.cores.expect("history recording runs serial");
             self.commits_in_flight
                 .get(token)
-                .and_then(|ctx| cores[ctx.core].warps[ctx.warp].as_ref())
+                .and_then(|ctx| self.cores[ctx.core].warps[ctx.warp].as_ref())
                 .map(|slot| slot.gwid.0)
         } else {
             None
@@ -540,13 +516,14 @@ impl PartCtx<'_> {
                 granules.push(g);
             }
         }
-        self.send_down(done, core, 8, DownMsg::CommitAck { token }, "commit-ack");
+        self.down
+            .send(done, core, 8, DownMsg::CommitAck { token }, "commit-ack");
         // EAPG: broadcast the committed write set to every core.
         if self.system == crate::config::TmSystem::Eapg && !granules.is_empty() {
-            self.stats.eapg_broadcasts += self.n_cores as u64;
+            self.stats.eapg_broadcasts += self.cores.len() as u64;
             let writes: Arc<[Granule]> = granules.into();
-            for c in 0..self.n_cores {
-                self.send_down(
+            for c in 0..self.cores.len() {
+                self.down.send(
                     done,
                     c,
                     8,
@@ -574,7 +551,8 @@ impl PartCtx<'_> {
             self.data_cycles(p, *a, AccessKind::Write);
         }
         let core = self.commit_core(token)?;
-        self.send_down(done, core, 8, DownMsg::CommitAck { token }, "commit-ack");
+        self.down
+            .send(done, core, 8, DownMsg::CommitAck { token }, "commit-ack");
         Ok(())
     }
 
@@ -584,7 +562,7 @@ impl PartCtx<'_> {
         let extra = self.data_cycles(p, addr, AccessKind::Read);
         let done = self.now + 1 + extra;
         let (core, values) = self.capture_values(token)?;
-        self.send_down(
+        self.down.send(
             done,
             core,
             16,
@@ -634,10 +612,8 @@ impl PartCtx<'_> {
         if self.hist.is_on() {
             // An atomic is a committed singleton transaction: it observes
             // `old` and (for mutating ops) installs a new version in the
-            // same indivisible step. (Recording forces the serial loop, so
-            // the core slice is present.)
-            let cores = self.cores.expect("history recording runs serial");
-            let gwid = cores[core].warps[warp]
+            // same indivisible step.
+            let gwid = self.cores[core].warps[warp]
                 .as_ref()
                 .map(|s| s.gwid.0)
                 .unwrap_or(u32::MAX);
@@ -651,7 +627,7 @@ impl PartCtx<'_> {
                 self.now.raw(),
             );
         }
-        self.send_down(
+        self.down.send(
             done,
             core,
             16,
@@ -662,38 +638,6 @@ impl PartCtx<'_> {
     }
 
     // ----- Helpers ---------------------------------------------------------
-
-    /// Injects a reply onto the down crossbar — directly in serial
-    /// execution, or into the shard's ordered buffer during a parallel
-    /// partition phase (the lead thread replays buffered sends sorted by
-    /// `(delivery index, send ordinal)`, reconstructing the exact serial
-    /// injection sequence).
-    pub(crate) fn send_down(
-        &mut self,
-        at: Cycle,
-        core: usize,
-        bytes: u64,
-        msg: DownMsg,
-        category: &'static str,
-    ) {
-        match &mut self.down {
-            DownSink::Direct(down) => {
-                down.send(at, core, bytes, msg, category);
-            }
-            DownSink::Buffer { buf, idx, k } => {
-                buf.push(DownSend {
-                    idx: *idx,
-                    k: *k,
-                    at,
-                    dst: core,
-                    bytes,
-                    msg,
-                    cat: category,
-                });
-                *k += 1;
-            }
-        }
-    }
 
     /// The destination core of an in-flight commit token.
     fn commit_core(&self, token: u64) -> Result<usize, SimError> {

@@ -30,12 +30,10 @@
 //!   [`config::TmSystem`] selector.
 //! * [`engine`] — the cycle-level engine that moves messages between cores
 //!   and memory partitions and drives each TM protocol.
-//! * [`exec`] — the host-thread execution mode ([`exec::ExecMode`]):
-//!   serial, or sharded across host threads with bit-identical results.
 //! * [`metrics`] — everything measured during a run.
 //! * [`runner`] — the [`runner::Sim`] builder and the unified
 //!   [`runner::RunOptions`] execution API (tracing, verification,
-//!   cancellation, execution mode) with invariant checking.
+//!   cancellation) with invariant checking.
 //! * [`verify`] — the serializability/opacity oracle behind verified runs.
 //! * [`sweep`] — parallel grid execution with deterministic result caching.
 //! * [`campaign`] — distributed sweeps (Unix only): a coordinator process
@@ -52,7 +50,6 @@ pub mod backend;
 pub mod campaign;
 pub mod config;
 pub mod engine;
-pub mod exec;
 pub mod metrics;
 pub mod runner;
 pub mod silicon;
@@ -64,7 +61,6 @@ pub use backend::{
     BackendError, BackendOptions, BackendOutcome, SimBackend, Tl2Backend, TmBackend,
 };
 pub use config::{GpuConfig, Sabotage, TmSystem, WatchdogConfig};
-pub use exec::ExecMode;
 pub use metrics::{HostProfile, Metrics, ShardProfile};
 pub use runner::{RunOptions, RunOutcome, Sim};
 pub use verify::{Checker, Verdict, VerifiedRun};
@@ -75,7 +71,6 @@ pub mod prelude {
         BackendError, BackendOptions, BackendOutcome, SimBackend, Tl2Backend, TmBackend,
     };
     pub use crate::config::{GpuConfig, Sabotage, TmSystem, WatchdogConfig};
-    pub use crate::exec::ExecMode;
     pub use crate::metrics::{HostProfile, Metrics, ShardProfile};
     pub use crate::runner::{RunOptions, RunOutcome, Sim};
     pub use crate::sweep::{

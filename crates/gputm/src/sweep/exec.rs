@@ -414,16 +414,6 @@ fn run_attempt(cell: &CellSpec, opts: &SweepOptions) -> Result<Metrics, FailureK
         });
         (disarm, monitor, limit)
     });
-    // The sweep-wide execution override replaces the cell's own mode;
-    // either way the metrics (and the cache key) are unaffected.
-    let overridden;
-    let cell = match opts.cell_exec {
-        Some(exec) => {
-            overridden = cell.clone().with_exec(exec);
-            &overridden
-        }
-        None => cell,
-    };
     let result = catch_unwind(AssertUnwindSafe(|| match &opts.runner {
         Some(r) => (r.0)(cell, token.clone()),
         None => match token {

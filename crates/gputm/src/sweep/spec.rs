@@ -1,7 +1,6 @@
 //! Experiment descriptions: one cell, and grids of cells.
 
 use crate::config::{GpuConfig, TmSystem};
-use crate::exec::ExecMode;
 use crate::metrics::Metrics;
 use crate::runner::{RunOptions, Sim};
 use sim_core::hash::StableHasher;
@@ -21,30 +20,17 @@ pub struct CellSpec {
     pub system: TmSystem,
     /// On which machine.
     pub cfg: GpuConfig,
-    /// How the cell's engine uses host threads. Deliberately **excluded**
-    /// from [`CellSpec::cache_key`]: execution mode never changes results
-    /// (the sharded loop is bit-identical to serial), so a cell computed
-    /// sharded and one computed serially share a cache entry.
-    pub exec: ExecMode,
 }
 
 impl CellSpec {
-    /// A fully specified cell (serial execution; see [`CellSpec::with_exec`]).
+    /// A fully specified cell.
     pub fn new(benchmark: Benchmark, scale: Scale, system: TmSystem, cfg: GpuConfig) -> Self {
         CellSpec {
             benchmark,
             scale,
             system,
             cfg,
-            exec: ExecMode::Serial,
         }
-    }
-
-    /// Selects the host-thread execution mode for this cell.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
     }
 
     /// A short human label for progress lines: `HT-H/GETM/c=4`.
@@ -76,8 +62,7 @@ impl CellSpec {
         h.finish_hex()
     }
 
-    /// Builds the workload and runs the cell to completion under the
-    /// cell's execution mode.
+    /// Builds the workload and runs the cell to completion.
     ///
     /// # Errors
     ///
@@ -120,23 +105,22 @@ impl CellSpec {
     /// See [`CellSpec::run`].
     pub fn run_verified(&self) -> Result<crate::verify::VerifiedRun, SimError> {
         let workload = self.benchmark.build(self.scale);
-        let out = Sim::new(&self.cfg).system(self.system).run_with(
-            workload.as_ref(),
-            &RunOptions::default().exec(self.exec).verify(true),
-        )?;
+        let out = Sim::new(&self.cfg)
+            .system(self.system)
+            .run_with(workload.as_ref(), &RunOptions::default().verify(true))?;
         Ok(crate::verify::VerifiedRun {
             metrics: out.metrics,
             verdict: out.verdict.expect("verified runs always carry a verdict"),
         })
     }
 
-    /// Runs the cell under `opts`, with the cell's execution mode applied
-    /// on top (the common plumbing behind the `run*` helpers).
+    /// Runs the cell under `opts` (the common plumbing behind the `run*`
+    /// helpers).
     fn run_opts(&self, opts: RunOptions) -> Result<Metrics, SimError> {
         let workload = self.benchmark.build(self.scale);
         let out = Sim::new(&self.cfg)
             .system(self.system)
-            .run_with(workload.as_ref(), &opts.exec(self.exec))?;
+            .run_with(workload.as_ref(), &opts)?;
         Ok(out.metrics.expect("unverified runs always carry metrics"))
     }
 }

@@ -34,13 +34,9 @@ fn sim_backend_metrics_match_direct_sim() {
                     .expect("sim backend run completes")
                     .metrics;
 
-                let mut ropts = RunOptions::default();
-                if threads > 1 {
-                    ropts = ropts.exec(ExecMode::Sharded { threads });
-                }
                 let direct = Sim::new(&cfg)
                     .system(system)
-                    .run_with(prog.workload(), &ropts)
+                    .run_with(prog.workload(), &RunOptions::default())
                     .expect("direct sim run completes")
                     .metrics
                     .expect("completed runs carry metrics");
